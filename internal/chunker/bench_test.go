@@ -40,16 +40,46 @@ func BenchmarkCDCSplit(b *testing.B) {
 	}
 }
 
-// BenchmarkGzipChunk measures per-chunk compression cost.
+// BenchmarkGzipChunk measures per-chunk compression cost: an
+// incompressible chunk (stored after the probe) and a mixed one, a tenth
+// run-length text and the rest random, as the trace Materializer writes
+// (deflated at the default level after the probe).
 func BenchmarkGzipChunk(b *testing.B) {
-	data := benchData(DefaultChunkSize)
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Compress(data, Gzip); err != nil {
-			b.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"random", benchData(DefaultChunkSize)},
+		{"mixed", mixedData(DefaultChunkSize, 0.10)},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(tc.data)))
+			for i := 0; i < b.N; i++ {
+				if _, err := Compress(tc.data, Gzip); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// mixedData is n bytes whose first textShare is run-length text and the
+// rest random.
+func mixedData(n int, textShare float64) []byte {
+	r := rand.New(rand.NewSource(7))
+	b := make([]byte, n)
+	textEnd := int(float64(n) * textShare)
+	const alphabet = "abcdefghijklmnopqrstuvwxyz .,\n"
+	for i := 0; i < textEnd; {
+		ch := alphabet[r.Intn(len(alphabet))]
+		for run := 1 + r.Intn(12); run > 0 && i < textEnd; run-- {
+			b[i] = ch
+			i++
 		}
 	}
+	r.Read(b[textEnd:])
+	return b
 }
 
 // BenchmarkFingerprint measures SHA-1 fingerprinting of a default chunk.

@@ -86,23 +86,6 @@ func SplitBytes(c Chunker, data []byte) ([]Chunk, error) {
 	return c.Split(bytesReader(data))
 }
 
-// Reassemble concatenates chunks back into the original content and verifies
-// every fingerprint, returning an error on corruption.
-func Reassemble(chunks []Chunk) ([]byte, error) {
-	total := 0
-	for _, c := range chunks {
-		total += len(c.Data)
-	}
-	out := make([]byte, 0, total)
-	for i, c := range chunks {
-		if Fingerprint(c.Data) != c.Fingerprint {
-			return nil, fmt.Errorf("chunker: chunk %d fingerprint mismatch", i)
-		}
-		out = append(out, c.Data...)
-	}
-	return out, nil
-}
-
 // Fingerprints projects the fingerprint list of a chunk sequence.
 func Fingerprints(chunks []Chunk) []string {
 	fps := make([]string, len(chunks))

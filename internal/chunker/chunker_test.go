@@ -57,7 +57,9 @@ func TestFixedDefaultSize(t *testing.T) {
 	}
 }
 
-func TestReassembleIdentityProperty(t *testing.T) {
+// TestSplitIdentityProperty: every chunker's chunks concatenate back to
+// the input, and each carries the fingerprint of its own bytes.
+func TestSplitIdentityProperty(t *testing.T) {
 	chunkers := []Chunker{
 		Fixed{ChunkSize: 64},
 		CDC{Min: 32, Avg: 128, Max: 512, Window: 16},
@@ -69,26 +71,18 @@ func TestReassembleIdentityProperty(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			out, err := Reassemble(chunks)
-			if err != nil {
-				return false
+			var out []byte
+			for _, ch := range chunks {
+				if Fingerprint(ch.Data) != ch.Fingerprint {
+					return false
+				}
+				out = append(out, ch.Data...)
 			}
 			return bytes.Equal(out, data)
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 			t.Fatalf("%s: %v", c.Name(), err)
 		}
-	}
-}
-
-func TestReassembleDetectsCorruption(t *testing.T) {
-	chunks, err := SplitBytes(Fixed{ChunkSize: 8}, []byte("the quick brown fox jumps"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	chunks[1].Data[0] ^= 0xFF
-	if _, err := Reassemble(chunks); err == nil {
-		t.Fatal("corruption not detected")
 	}
 }
 
@@ -234,7 +228,7 @@ func TestCompressionRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v payload %d: %v", comp, i, err)
 			}
-			dec, err := Decompress(enc, comp)
+			dec, err := Decompress(enc, comp, len(p))
 			if err != nil {
 				t.Fatalf("%v payload %d decompress: %v", comp, i, err)
 			}

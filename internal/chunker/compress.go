@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"compress/flate"
 	"compress/gzip"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // Compression selects the algorithm applied to chunks before transmission.
@@ -50,14 +52,68 @@ func ParseCompression(s string) (Compression, error) {
 	}
 }
 
+// incompressibleSaving is the least share of a chunk a BestSpeed probe must
+// save for the chunk to be deflated at all: a chunk that saves less (media,
+// archives, already-compressed data) is stored instead, 1 part in 50.
+const incompressibleSaving = 50
+
+// Pooled codecs: a gzip.Writer keeps its level across Reset, so each level
+// has its own pool.
+var (
+	probePool = sync.Pool{New: func() any {
+		w, _ := flate.NewWriter(io.Discard, flate.BestSpeed)
+		return w
+	}}
+	gzipDefaultPool = sync.Pool{New: func() any { return gzip.NewWriter(io.Discard) }}
+	gzipStoredPool  = sync.Pool{New: func() any {
+		w, _ := gzip.NewWriterLevel(io.Discard, gzip.NoCompression)
+		return w
+	}}
+	gzipReaderPool = sync.Pool{New: func() any { return new(gzip.Reader) }}
+)
+
+// byteCounter is an io.Writer that only counts.
+type byteCounter int
+
+func (c *byteCounter) Write(p []byte) (int, error) {
+	*c += byteCounter(len(p))
+	return len(p), nil
+}
+
+// deflates reports whether deflating data is worth it: a whole-chunk
+// BestSpeed pass into a counter must save at least 1/incompressibleSaving
+// of the bytes. The whole chunk is probed, not a sample, because an edit
+// can move a file's compressible part anywhere in the chunk.
+func deflates(data []byte) bool {
+	var n byteCounter
+	w := probePool.Get().(*flate.Writer)
+	defer probePool.Put(w)
+	w.Reset(&n)
+	_, _ = w.Write(data) // a byteCounter never fails
+	_ = w.Close()
+	return (int64(len(data))-int64(n))*incompressibleSaving >= int64(len(data))
+}
+
 // Compress encodes data with the selected algorithm.
+//
+// Gzip decides per chunk: a chunk that deflates (see deflates) is
+// compressed at gzip.DefaultCompression, byte for byte what gzip.NewWriter
+// writes; any other chunk is written as stored blocks (level 0). Both are
+// plain gzip streams, so every gzip reader decodes either.
 func Compress(data []byte, c Compression) ([]byte, error) {
 	switch c {
 	case None:
 		return data, nil
 	case Gzip:
 		var buf bytes.Buffer
-		w := gzip.NewWriter(&buf)
+		pool := &gzipDefaultPool
+		if !deflates(data) {
+			pool = &gzipStoredPool
+			buf.Grow(storedSize(len(data)))
+		}
+		w := pool.Get().(*gzip.Writer)
+		defer pool.Put(w)
+		w.Reset(&buf)
 		if _, err := w.Write(data); err != nil {
 			return nil, fmt.Errorf("chunker: gzip write: %w", err)
 		}
@@ -83,18 +139,22 @@ func Compress(data []byte, c Compression) ([]byte, error) {
 	}
 }
 
-// Decompress reverses Compress.
-func Decompress(data []byte, c Compression) ([]byte, error) {
+// Decompress reverses Compress. For Gzip the output is presized from the
+// stream's ISIZE trailer, but never beyond presizeCap (typically the size
+// of the file the chunk belongs to), so a hostile stream cannot force a
+// large allocation before a byte is inflated; presizeCap <= 0 disables
+// presizing. The cap does not bound the output itself.
+func Decompress(data []byte, c Compression, presizeCap int) ([]byte, error) {
 	switch c {
 	case None:
 		return data, nil
 	case Gzip:
-		r, err := gzip.NewReader(bytes.NewReader(data))
-		if err != nil {
+		r := gzipReaderPool.Get().(*gzip.Reader)
+		defer gzipReaderPool.Put(r)
+		if err := r.Reset(bytes.NewReader(data)); err != nil {
 			return nil, fmt.Errorf("chunker: gzip reader: %w", err)
 		}
-		defer r.Close()
-		out, err := io.ReadAll(r)
+		out, err := readAllSized(r, min(gzipSize(data), presizeCap))
 		if err != nil {
 			return nil, fmt.Errorf("chunker: gunzip: %w", err)
 		}
@@ -109,5 +169,40 @@ func Decompress(data []byte, c Compression) ([]byte, error) {
 		return out, nil
 	default:
 		return nil, fmt.Errorf("chunker: unknown compression %d", c)
+	}
+}
+
+// storedSize bounds the length of a stored-block gzip stream of n bytes:
+// 18 bytes of gzip header and trailer, 5 per stored block of at most
+// 65535 bytes, and a final empty block.
+func storedSize(n int) int {
+	return n + 18 + 5*(n/65535+2)
+}
+
+// gzipSize reads the ISIZE trailer of a gzip stream: its uncompressed
+// length mod 2^32, as claimed by the stream (an untrusted hint).
+func gzipSize(data []byte) int {
+	if len(data) < 4 {
+		return 0
+	}
+	return int(binary.LittleEndian.Uint32(data[len(data)-4:]))
+}
+
+// readAllSized is io.ReadAll starting from a buffer of capacity n+1, so a
+// stream of exactly n bytes reaches EOF without growing the buffer.
+func readAllSized(r io.Reader, n int) ([]byte, error) {
+	b := make([]byte, 0, max(n, 0)+1)
+	for {
+		m, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+m]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
 	}
 }

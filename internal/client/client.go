@@ -1,6 +1,7 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -953,19 +954,24 @@ func (c *Client) fetchContent(ctx context.Context, item metastore.ItemVersion) (
 			return nil, err
 		}
 	}
-	chunks := make([]chunker.Chunk, 0, len(item.Chunks))
-	for i, fp := range item.Chunks {
-		data, err := chunker.Decompress(compressed[i], c.cfg.Compression)
+	// Decompress and verify every chunk in parallel, then concatenate.
+	raw := make([][]byte, len(item.Chunks))
+	err := forEachParallel(len(item.Chunks), func(i int) error {
+		fp := item.Chunks[i]
+		data, err := chunker.Decompress(compressed[i], c.cfg.Compression, int(item.Size))
 		if err != nil {
-			return nil, fmt.Errorf("client: decompress chunk %s: %w", fp, err)
+			return fmt.Errorf("client: decompress chunk %s: %w", fp, err)
 		}
-		chunks = append(chunks, chunker.Chunk{Fingerprint: fp, Data: data})
-	}
-	content, err := chunker.Reassemble(chunks)
+		if chunker.Fingerprint(data) != fp {
+			return fmt.Errorf("client: reassemble %s: chunk %d fingerprint mismatch", item.Path, i)
+		}
+		raw[i] = data
+		return nil
+	})
 	if err != nil {
-		return nil, fmt.Errorf("client: reassemble %s: %w", item.Path, err)
+		return nil, err
 	}
-	return content, nil
+	return bytes.Join(raw, nil), nil
 }
 
 // resolveConflict implements the losing side of Algorithm 1: adopt the

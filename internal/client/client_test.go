@@ -2,9 +2,11 @@ package client
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -208,10 +210,61 @@ func TestLateJoinerBootstrapsViaGetChanges(t *testing.T) {
 	}
 }
 
+// fetchGate holds a device's chunk downloads between hold and release, so
+// the device cannot apply a remote version before it has proposed its own.
+type fetchGate struct {
+	objstore.Store
+	mu   sync.Mutex
+	held chan struct{} // nil while downloads flow
+}
+
+func (g *fetchGate) hold() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.held = make(chan struct{})
+}
+
+func (g *fetchGate) release() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	close(g.held)
+	g.held = nil
+}
+
+func (g *fetchGate) wait(ctx context.Context) error {
+	g.mu.Lock()
+	held := g.held
+	g.mu.Unlock()
+	if held == nil {
+		return nil
+	}
+	select {
+	case <-held:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+func (g *fetchGate) Get(ctx context.Context, container, key string) ([]byte, error) {
+	if err := g.wait(ctx); err != nil {
+		return nil, err
+	}
+	return g.Store.Get(ctx, container, key)
+}
+
+func (g *fetchGate) GetMulti(ctx context.Context, container string, keys []string) ([][]byte, error) {
+	if err := g.wait(ctx); err != nil {
+		return nil, err
+	}
+	return g.Store.GetMulti(ctx, container, keys)
+}
+
 func TestConcurrentEditProducesConflictCopy(t *testing.T) {
 	r := newRig(t)
 	a := r.newDevice("alice", "dev-a")
-	b := r.newDevice("bob", "dev-b")
+	gate := &fetchGate{Store: r.storage}
+	b := r.newDevice("bob", "dev-b", func(c *Config) { c.Storage = gate })
 
 	if err := a.PutFile("shared.txt", []byte("base")); err != nil {
 		t.Fatal(err)
@@ -223,13 +276,16 @@ func TestConcurrentEditProducesConflictCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Both devices propose version 2 before either sees the other's commit.
+	// Both devices propose version 2 before either sees the other's commit:
+	// b cannot fetch a's version 2 until it has proposed its own.
+	gate.hold()
 	if err := a.PutFile("shared.txt", []byte("from A")); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.PutFile("shared.txt", []byte("from B")); err != nil {
 		t.Fatal(err)
 	}
+	gate.release()
 
 	// Both converge on one winner at v2...
 	if err := a.WaitForVersion("shared.txt", 2, syncWait); err != nil {

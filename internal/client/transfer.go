@@ -5,7 +5,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"stacksync/internal/chunker"
 	"stacksync/internal/objstore"
@@ -224,22 +226,60 @@ func (c *Client) runTransfer(ctx context.Context, n int, batchFn func(lo, hi int
 	return firstErr
 }
 
-// uploadChunks compresses the fresh chunks and pushes them through the
-// pipelined upload path: per batch, a server-side existence probe skips
-// chunks some other device already stored (workspace-scoped dedup, §4.1),
-// the singleflight layer coalesces concurrent uploads of the same
-// fingerprint, and the survivors ship in one PutMulti.
+// forEachParallel runs fn(0..n-1) on at most GOMAXPROCS goroutines — the
+// bound for CPU-only chunk work (compression, decompression, hashing) — and
+// returns the error of the lowest failing index. A single item runs inline.
+func forEachParallel(n int, fn func(i int) error) error {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	if workers <= 1 {
+		for i := range n {
+			if err := fn(i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	errs := make([]error, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				errs[i] = fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// uploadChunks compresses the fresh chunks in parallel and pushes them
+// through the pipelined upload path: per batch, a server-side existence
+// probe skips chunks some other device already stored (workspace-scoped
+// dedup, §4.1), the singleflight layer coalesces concurrent uploads of the
+// same fingerprint, and the survivors ship in one PutMulti.
 func (c *Client) uploadChunks(ctx context.Context, fresh []chunker.Chunk) error {
 	if len(fresh) == 0 {
 		return nil
 	}
-	objs := make([]objstore.Object, 0, len(fresh))
-	for _, ch := range fresh {
-		compressed, err := chunker.Compress(ch.Data, c.cfg.Compression)
+	objs := make([]objstore.Object, len(fresh))
+	err := forEachParallel(len(fresh), func(i int) error {
+		compressed, err := chunker.Compress(fresh[i].Data, c.cfg.Compression)
 		if err != nil {
 			return fmt.Errorf("client: compress chunk: %w", err)
 		}
-		objs = append(objs, objstore.Object{Key: ch.Fingerprint, Data: compressed})
+		objs[i] = objstore.Object{Key: fresh[i].Fingerprint, Data: compressed}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	return c.runTransfer(ctx, len(objs), func(lo, hi int) error {
 		return c.uploadBatch(ctx, objs[lo:hi])

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"stacksync/internal/chunker"
 	"stacksync/internal/clock"
+	"stacksync/internal/metastore"
 	"stacksync/internal/objstore"
 	"stacksync/internal/objstore/storetest"
 )
@@ -280,5 +282,81 @@ func TestTransferPipelineStress(t *testing.T) {
 		if !ok || !bytes.HasSuffix(got, []byte(fmt.Sprintf("writer-%d", w))) {
 			t.Fatalf("writer %d content diverged", w)
 		}
+	}
+}
+
+// TestForEachParallel: every index runs exactly once, and the error
+// returned is the lowest failing index's, whatever order workers finish in.
+func TestForEachParallel(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 64} {
+		var mu sync.Mutex
+		seen := make(map[int]int)
+		err := forEachParallel(n, func(i int) error {
+			mu.Lock()
+			seen[i]++
+			mu.Unlock()
+			if i >= 3 && i%3 == 0 {
+				return fmt.Errorf("item %d", i)
+			}
+			return nil
+		})
+		for i := 0; i < n; i++ {
+			if seen[i] != 1 {
+				t.Fatalf("n=%d: item %d ran %d times", n, i, seen[i])
+			}
+		}
+		if n > 3 && (err == nil || err.Error() != "item 3") {
+			t.Fatalf("n=%d: err = %v, want item 3", n, err)
+		}
+		if n <= 3 && err != nil {
+			t.Fatalf("n=%d: err = %v", n, err)
+		}
+	}
+}
+
+// TestFetchContentVerifiesEveryChunk: a multi-chunk download decompresses
+// and checks its chunks in parallel, returns the exact content, and fails
+// when the store hands back a well-formed chunk with the wrong content.
+func TestFetchContentVerifiesEveryChunk(t *testing.T) {
+	r := newRig(t)
+	ctx := context.Background()
+	container := WorkspaceContainer("ws")
+	if err := r.storage.EnsureContainer(ctx, container); err != nil {
+		t.Fatal(err)
+	}
+	var content []byte
+	for i := 0; i < 8; i++ {
+		content = append(content, bytes.Repeat([]byte(fmt.Sprintf("chunk %d ", i)), 128)[:1024]...)
+	}
+	chunks, err := chunker.SplitBytes(chunker.Fixed{ChunkSize: 1024}, content)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ch := range chunks {
+		compressed, err := chunker.Compress(ch.Data, chunker.Gzip)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.storage.Put(ctx, container, ch.Fingerprint, compressed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	item := metastore.ItemVersion{Path: "f.bin", Chunks: chunker.Fingerprints(chunks), Size: int64(len(content))}
+
+	got, err := r.newDevice("alice", "dev-a").fetchContent(ctx, item)
+	if err != nil || !bytes.Equal(got, content) {
+		t.Fatalf("fetch: %d bytes, %v; want %d bytes", len(got), err, len(content))
+	}
+
+	wrong, err := chunker.Compress(bytes.Repeat([]byte{'x'}, 1024), chunker.Gzip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.storage.Put(ctx, container, chunks[5].Fingerprint, wrong); err != nil {
+		t.Fatal(err)
+	}
+	_, err = r.newDevice("alice", "dev-b").fetchContent(ctx, item)
+	if err == nil || !strings.Contains(err.Error(), "chunk 5 fingerprint mismatch") {
+		t.Fatalf("tampered chunk: err = %v, want a chunk 5 fingerprint mismatch", err)
 	}
 }

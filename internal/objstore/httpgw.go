@@ -1,16 +1,18 @@
 package objstore
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // HTTP gateway: exposes a Store over a Swift-flavoured REST API so that
@@ -19,13 +21,20 @@ import (
 //
 //	PUT    /v1/{container}                  create container
 //	GET    /v1/{container}                  list objects (newline-separated)
-//	POST   /v1/{container}?multi=put        batch store (JSON [{key,data}])
-//	POST   /v1/{container}?multi=get        batch fetch (JSON [keys] -> [{key,found,data}])
+//	POST   /v1/{container}?multi=put        batch store (binary batch body)
+//	POST   /v1/{container}?multi=get        batch fetch (binary batch body -> binary get reply)
 //	POST   /v1/{container}?multi=exists     batch probe (JSON [keys] -> [bool])
 //	PUT    /v1/{container}/{object}         store object (body = content)
 //	GET    /v1/{container}/{object}         fetch object
 //	HEAD   /v1/{container}/{object}         existence check
 //	DELETE /v1/{container}/{object}         delete object
+//
+// multi=put and multi=get carry chunk bytes, so their bodies are
+// length-prefixed binary rather than JSON+base64 (batch.go has the
+// framing): the request is a sequence of {uvarint keylen, key, uvarint
+// datalen, data} entries (datalen 0 for get), the get reply one
+// {found byte, uvarint datalen, data} entry per key. A batch body larger
+// than maxBatchBody is refused whole with 413.
 //
 // An optional bearer token (X-Auth-Token, as in Swift) gates all routes.
 // Error responses carry an X-Objstore-Error header naming the sentinel
@@ -38,32 +47,33 @@ const errHeader = "X-Objstore-Error"
 // maxBatchBody bounds a batch request body read by the gateway (64 MB).
 const maxBatchBody = 64 << 20
 
-// gwObject is the JSON wire form of one batch object ([]byte marshals as
-// base64).
-type gwObject struct {
-	Key  string `json:"key"`
-	Data []byte `json:"data,omitempty"`
-}
+// maxIdleConnsPerHost is how many idle gateway connections HTTPStore
+// keeps. The default transport keeps 2, fewer than the transfer workers of
+// one device, so parallel batches would keep dialing new connections.
+const maxIdleConnsPerHost = 16
 
-// gwGetResult is one entry of a multi=get response.
-type gwGetResult struct {
-	Key   string `json:"key"`
-	Found bool   `json:"found"`
-	Data  []byte `json:"data,omitempty"`
-}
+// gatewayTransport is shared by every HTTPStore of the process, so devices
+// in one process reuse each other's idle connections.
+var gatewayTransport = sync.OnceValue(func() *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConnsPerHost = maxIdleConnsPerHost
+	return t
+})
 
 // Handler serves a Store over HTTP.
 type Handler struct {
 	store Store
 	// token, when non-empty, must match the X-Auth-Token header.
 	token string
+	// maxBody bounds batch request bodies (maxBatchBody).
+	maxBody int64
 }
 
 var _ http.Handler = (*Handler)(nil)
 
 // NewHandler wraps store; token "" disables authentication.
 func NewHandler(store Store, token string) *Handler {
-	return &Handler{store: store, token: token}
+	return &Handler{store: store, token: token, maxBody: maxBatchBody}
 }
 
 // ServeHTTP dispatches gateway requests.
@@ -143,32 +153,34 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // serveBatch dispatches the multi=put/get/exists routes.
 func (h *Handler) serveBatch(w http.ResponseWriter, r *http.Request, container string) {
 	ctx := r.Context()
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBatchBody))
-	if err != nil {
-		http.Error(w, "read body: "+err.Error(), http.StatusBadRequest)
+	if r.ContentLength > h.maxBody {
+		http.Error(w, errBatchTooLarge.Error(), http.StatusRequestEntityTooLarge)
 		return
 	}
+	// Read at most one byte past the limit: seeing it means the body is too
+	// large, and the whole batch is refused rather than cut short.
+	body := io.LimitReader(r.Body, h.maxBody+1)
 	switch r.URL.Query().Get("multi") {
 	case "put":
-		var objs []gwObject
-		if err := json.Unmarshal(body, &objs); err != nil {
-			http.Error(w, "decode batch: "+err.Error(), http.StatusBadRequest)
+		objs, err := h.readBatch(r, body)
+		if err != nil {
+			writeBatchError(w, err)
 			return
 		}
-		batch := make([]Object, len(objs))
-		for i, o := range objs {
-			batch[i] = Object{Key: o.Key, Data: o.Data}
-		}
-		if err := h.store.PutMulti(ctx, container, batch); err != nil {
+		if err := h.store.PutMulti(ctx, container, objs); err != nil {
 			writeError(w, err)
 			return
 		}
 		w.WriteHeader(http.StatusCreated)
 	case "get":
-		var keys []string
-		if err := json.Unmarshal(body, &keys); err != nil {
-			http.Error(w, "decode batch: "+err.Error(), http.StatusBadRequest)
+		objs, err := h.readBatch(r, body)
+		if err != nil {
+			writeBatchError(w, err)
 			return
+		}
+		keys := make([]string, len(objs))
+		for i, o := range objs {
+			keys[i] = o.Key
 		}
 		data, err := h.store.GetMulti(ctx, container, keys)
 		if err != nil && !errors.Is(err, ErrNotFound) {
@@ -176,18 +188,21 @@ func (h *Handler) serveBatch(w http.ResponseWriter, r *http.Request, container s
 			writeError(w, err)
 			return
 		}
-		results := make([]gwGetResult, len(keys))
-		for i, k := range keys {
-			results[i] = gwGetResult{Key: k, Found: i < len(data) && data[i] != nil}
-			if results[i].Found {
-				results[i].Data = data[i]
-			}
+		if len(data) != len(keys) {
+			data = make([][]byte, len(keys))
 		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(results)
+		writeGetReply(w, data)
 	case "exists":
+		raw, err := io.ReadAll(body)
+		if err == nil && int64(len(raw)) > h.maxBody {
+			err = errBatchTooLarge
+		}
+		if err != nil {
+			writeBatchError(w, err)
+			return
+		}
 		var keys []string
-		if err := json.Unmarshal(body, &keys); err != nil {
+		if err := json.Unmarshal(raw, &keys); err != nil {
 			http.Error(w, "decode batch: "+err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -201,6 +216,26 @@ func (h *Handler) serveBatch(w http.ResponseWriter, r *http.Request, container s
 	default:
 		http.Error(w, "unknown batch operation", http.StatusBadRequest)
 	}
+}
+
+// readBatch parses a binary batch request body. A body of declared length
+// is checked against that length; a body of unknown length (chunked) is
+// checked against the size limit, so overrunning it is errBatchTooLarge.
+func (h *Handler) readBatch(r *http.Request, body io.Reader) ([]Object, error) {
+	if r.ContentLength >= 0 {
+		return readBatchRequest(body, r.ContentLength, errBatchShort)
+	}
+	return readBatchRequest(body, h.maxBody, errBatchTooLarge)
+}
+
+// writeBatchError answers a batch body that could not be read: 413 when
+// it was too large, 400 otherwise.
+func writeBatchError(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	if errors.Is(err, errBatchTooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	http.Error(w, "read batch: "+err.Error(), status)
 }
 
 // writeError maps a store error onto a status code and sentinel header.
@@ -263,7 +298,7 @@ func NewHTTPStore(baseURL, token string) *HTTPStore {
 	return &HTTPStore{
 		base:   strings.TrimSuffix(baseURL, "/"),
 		token:  token,
-		client: &http.Client{},
+		client: &http.Client{Transport: gatewayTransport()},
 	}
 }
 
@@ -276,11 +311,25 @@ func (s *HTTPStore) url(container, object string) string {
 }
 
 // do issues one request bound to ctx; canceling the context aborts the
-// request mid-flight and surfaces the context's error to errors.Is.
-func (s *HTTPStore) do(ctx context.Context, method, u string, body io.Reader) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, method, u, body)
+// request mid-flight and surfaces the context's error to errors.Is. The
+// body slices are sent in order as one body with its Content-Length set,
+// without being copied into one buffer first.
+func (s *HTTPStore) do(ctx context.Context, method, u string, body ...[]byte) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, method, u, nil)
 	if err != nil {
 		return nil, fmt.Errorf("objstore: build request: %w", err)
+	}
+	for _, b := range body {
+		req.ContentLength += int64(len(b))
+	}
+	if req.ContentLength > 0 {
+		// GetBody lets the transport resend the body on a fresh connection
+		// when a reused idle one turns out to be closed.
+		req.GetBody = func() (io.ReadCloser, error) {
+			bufs := net.Buffers(slices.Clone(body))
+			return io.NopCloser(&bufs), nil
+		}
+		req.Body, _ = req.GetBody() // cannot fail
 	}
 	if s.token != "" {
 		req.Header.Set("X-Auth-Token", s.token)
@@ -308,7 +357,7 @@ func (s *HTTPStore) checkStatus(resp *http.Response) error {
 
 // EnsureContainer creates the remote container.
 func (s *HTTPStore) EnsureContainer(ctx context.Context, container string) error {
-	resp, err := s.do(ctx, http.MethodPut, s.url(container, ""), nil)
+	resp, err := s.do(ctx, http.MethodPut, s.url(container, ""))
 	if err != nil {
 		return err
 	}
@@ -318,7 +367,7 @@ func (s *HTTPStore) EnsureContainer(ctx context.Context, container string) error
 
 // Put stores an object remotely.
 func (s *HTTPStore) Put(ctx context.Context, container, key string, data []byte) error {
-	resp, err := s.do(ctx, http.MethodPut, s.url(container, key), bytes.NewReader(data))
+	resp, err := s.do(ctx, http.MethodPut, s.url(container, key), data)
 	if err != nil {
 		return err
 	}
@@ -328,7 +377,7 @@ func (s *HTTPStore) Put(ctx context.Context, container, key string, data []byte)
 
 // Get fetches an object remotely.
 func (s *HTTPStore) Get(ctx context.Context, container, key string) ([]byte, error) {
-	resp, err := s.do(ctx, http.MethodGet, s.url(container, key), nil)
+	resp, err := s.do(ctx, http.MethodGet, s.url(container, key))
 	if err != nil {
 		return nil, err
 	}
@@ -346,7 +395,7 @@ func (s *HTTPStore) Get(ctx context.Context, container, key string) ([]byte, err
 // Exists checks object presence remotely. A plain not-found is a false
 // answer, not an error; a missing container is ErrNoContainer, as locally.
 func (s *HTTPStore) Exists(ctx context.Context, container, key string) (bool, error) {
-	resp, err := s.do(ctx, http.MethodHead, s.url(container, key), nil)
+	resp, err := s.do(ctx, http.MethodHead, s.url(container, key))
 	if err != nil {
 		return false, err
 	}
@@ -362,7 +411,7 @@ func (s *HTTPStore) Exists(ctx context.Context, container, key string) (bool, er
 
 // Delete removes an object remotely.
 func (s *HTTPStore) Delete(ctx context.Context, container, key string) error {
-	resp, err := s.do(ctx, http.MethodDelete, s.url(container, key), nil)
+	resp, err := s.do(ctx, http.MethodDelete, s.url(container, key))
 	if err != nil {
 		return err
 	}
@@ -372,7 +421,7 @@ func (s *HTTPStore) Delete(ctx context.Context, container, key string) error {
 
 // List enumerates a remote container.
 func (s *HTTPStore) List(ctx context.Context, container string) ([]string, error) {
-	resp, err := s.do(ctx, http.MethodGet, s.url(container, ""), nil)
+	resp, err := s.do(ctx, http.MethodGet, s.url(container, ""))
 	if err != nil {
 		return nil, err
 	}
@@ -390,68 +439,75 @@ func (s *HTTPStore) List(ctx context.Context, container string) ([]string, error
 	return strings.Split(string(body), "\n"), nil
 }
 
-// postBatch issues one multi=<op> request and decodes the JSON response.
-func (s *HTTPStore) postBatch(ctx context.Context, container, op string, payload, out any) error {
-	body, err := json.Marshal(payload)
+// postBatch issues one multi=<op> request and checks its status; the
+// caller reads and closes the response body.
+func (s *HTTPStore) postBatch(ctx context.Context, container, op string, body ...[]byte) (*http.Response, error) {
+	resp, err := s.do(ctx, http.MethodPost, s.url(container, "")+"?multi="+op, body...)
 	if err != nil {
-		return fmt.Errorf("objstore: encode batch: %w", err)
+		return nil, err
 	}
-	resp, err := s.do(ctx, http.MethodPost, s.url(container, "")+"?multi="+op, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
 	if err := s.checkStatus(resp); err != nil {
-		return err
+		resp.Body.Close()
+		return nil, err
 	}
-	if out == nil {
-		return nil
-	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return fmt.Errorf("objstore: decode batch: %w", err)
-	}
-	return nil
+	return resp, nil
 }
 
-// PutMulti ships the whole batch in one round trip.
+// PutMulti ships the whole batch in one round trip; the object data goes
+// out as-is behind the binary entry headers.
 func (s *HTTPStore) PutMulti(ctx context.Context, container string, objects []Object) error {
-	payload := make([]gwObject, len(objects))
-	for i, o := range objects {
-		payload[i] = gwObject{Key: o.Key, Data: o.Data}
+	resp, err := s.postBatch(ctx, container, "put", encodeBatchRequest(objects)...)
+	if err != nil {
+		return err
 	}
-	return s.postBatch(ctx, container, "put", payload, nil)
+	return resp.Body.Close()
 }
 
 // GetMulti fetches the whole batch in one round trip, reconstructing the
-// partial-result contract from the per-entry found flags.
+// partial-result contract from the per-entry found flags. Every object is
+// read into its own buffer, so keeping one does not pin the whole reply.
 func (s *HTTPStore) GetMulti(ctx context.Context, container string, keys []string) ([][]byte, error) {
-	var results []gwGetResult
-	if err := s.postBatch(ctx, container, "get", keys, &results); err != nil {
+	objs := make([]Object, len(keys))
+	for i, k := range keys {
+		objs[i].Key = k
+	}
+	resp, err := s.postBatch(ctx, container, "get", encodeBatchRequest(objs)...)
+	if err != nil {
 		return nil, err
 	}
-	if len(results) != len(keys) {
-		return nil, fmt.Errorf("objstore: remote batch returned %d results for %d keys", len(results), len(keys))
+	defer resp.Body.Close()
+	left, overrun := resp.ContentLength, errBatchShort
+	if left < 0 { // a chunked reply is held to the request limit
+		left, overrun = maxBatchBody, errBatchTooLarge
 	}
-	out := make([][]byte, len(keys))
+	out, err := readGetReply(resp.Body, left, overrun, len(keys))
+	if err != nil {
+		return nil, fmt.Errorf("objstore: decode batch: %w", err)
+	}
 	var errs []error
-	for i, r := range results {
-		if !r.Found {
+	for i, d := range out {
+		if d == nil {
 			errs = append(errs, opErr("getmulti", container, keys[i], ErrNotFound))
-			continue
-		}
-		out[i] = r.Data
-		if out[i] == nil {
-			out[i] = []byte{}
 		}
 	}
 	return out, errors.Join(errs...)
 }
 
-// ExistsMulti probes the whole batch in one round trip.
+// ExistsMulti probes the whole batch in one round trip (JSON both ways:
+// the bodies are keys and flags, not chunk bytes).
 func (s *HTTPStore) ExistsMulti(ctx context.Context, container string, keys []string) ([]bool, error) {
-	var present []bool
-	if err := s.postBatch(ctx, container, "exists", keys, &present); err != nil {
+	body, err := json.Marshal(keys)
+	if err != nil {
+		return nil, fmt.Errorf("objstore: encode batch: %w", err)
+	}
+	resp, err := s.postBatch(ctx, container, "exists", body)
+	if err != nil {
 		return nil, err
+	}
+	defer resp.Body.Close()
+	var present []bool
+	if err := json.NewDecoder(resp.Body).Decode(&present); err != nil {
+		return nil, fmt.Errorf("objstore: decode batch: %w", err)
 	}
 	if len(present) != len(keys) {
 		return nil, fmt.Errorf("objstore: remote batch returned %d results for %d keys", len(present), len(keys))

@@ -173,7 +173,7 @@ func TestHTTPHandlerRejectsBadRoutes(t *testing.T) {
 	if err := s.EnsureContainer(ctx, "c"); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := s.do(ctx, "POST", s.url("c", "k"), nil)
+	resp, err := s.do(ctx, "POST", s.url("c", "k"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestHTTPHandlerRejectsBadRoutes(t *testing.T) {
 	if resp.StatusCode != 405 {
 		t.Fatalf("POST status = %d, want 405", resp.StatusCode)
 	}
-	resp2, err := s.do(ctx, "GET", s.base+"/other", nil)
+	resp2, err := s.do(ctx, "GET", s.base+"/other")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestHTTPHandlerRejectsBadRoutes(t *testing.T) {
 		t.Fatalf("bad path status = %d, want 404", resp2.StatusCode)
 	}
 	// POST on a container with an unknown multi op.
-	resp3, err := s.do(ctx, "POST", s.url("c", "")+"?multi=zap", bytes.NewReader([]byte("[]")))
+	resp3, err := s.do(ctx, "POST", s.url("c", "")+"?multi=zap", []byte("[]"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,6 +42,11 @@ STACKSYNC_CODEC=bin go test -race ./internal/codec/ ./internal/omq/ ./internal/w
 echo "==> transfer pipeline stress (race, 3x)"
 go test -race -count=3 -run '^TestTransferPipelineStress$' ./internal/client/
 
+# Chunk compression shares pooled gzip writers and readers across the
+# client's parallel compress and decompress workers.
+echo "==> pooled chunk compression (race, 10x)"
+go test -race -count=10 -run '^TestCompressConcurrent$' ./internal/chunker/
+
 # Cross-instance failover is timing-sensitive by nature: re-run the seeded
 # multi-instance soak and the cross-instance linearizability race under the
 # race detector so a flaky interleaving fails here, not downstream. One extra
@@ -56,11 +61,15 @@ go test -race -count=1 -run '^(TestMultiInstanceChaosQuick|TestCrossInstanceLine
 echo "==> fleet-trace stitching smoke (race)"
 go test -race -count=1 -run '^TestFleetTraceSmoke$' ./internal/bench/
 
-# Short coverage-guided fuzz legs over the two codecs that parse
-# attacker-controlled bytes: the wire frame reader and WAL replay. Ten
-# seconds each is a smoke pass — run `go test -fuzz` open-ended to dig.
+# Short coverage-guided fuzz legs over the codecs that parse
+# attacker-controlled bytes: the wire frame reader, the storage gateway's
+# binary batch bodies and WAL replay. Ten seconds each is a smoke pass —
+# run `go test -fuzz` open-ended to dig.
 echo "==> fuzz smoke: FuzzFrameCodec (10s)"
 go test -run '^$' -fuzz '^FuzzFrameCodec$' -fuzztime 10s ./internal/wire/
+
+echo "==> fuzz smoke: FuzzGatewayBatch (10s)"
+go test -run '^$' -fuzz '^FuzzGatewayBatch$' -fuzztime 10s ./internal/objstore/
 
 echo "==> fuzz smoke: FuzzWALReplay (10s)"
 go test -run '^$' -fuzz '^FuzzWALReplay$' -fuzztime 10s ./internal/metastore/
